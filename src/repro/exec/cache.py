@@ -12,10 +12,9 @@ treated as a miss and overwritten on the next store.
 keeps *above* the disk cache: an LRU of already-serialized payload
 bytes keyed by the same content hash, so a repeat-hot circuit is served
 straight from memory with no disk I/O and no JSON re-serialization.
-Entries and total payload bytes are both bounded; eviction is
-strict-LRU and every hit/miss/eviction is counted
-(:class:`HotCacheStats`), which is what the fleet benchmark's
-cache-hit-vs-shard-count curves are built from.
+Total payload bytes are bounded; eviction is strict-LRU and every
+hit/miss/eviction is counted (:class:`HotCacheStats`) and reported
+under the service's ``/metrics``.
 
 Only *successful* payloads are cached in either tier: failures must
 re-execute on the next run (the failure may have been transient, and
@@ -196,24 +195,6 @@ class ResultCache:
                 pass
         return n
 
-    def get_bytes(self, key: str) -> Optional[bytes]:
-        """The cached payload for ``key`` as serialized JSON bytes.
-
-        Same hit/miss/error accounting as :meth:`get`, but re-encodes
-        the payload with sorted keys — the canonical byte form the
-        service's hot tier stores, so a disk hit can be promoted into
-        memory without a second serialization later.
-        """
-        payload = self.get(key)
-        if payload is None:
-            return None
-        try:
-            return json.dumps(payload, sort_keys=True).encode("utf-8")
-        except (TypeError, ValueError):
-            with self._lock:
-                self.stats.errors += 1
-            return None
-
     def flush(self, min_age_s: float = 0.0) -> int:
         """Remove orphaned ``.tmp-*`` files; returns how many were removed.
 
@@ -280,8 +261,8 @@ class HotCache:
     The compile service's hot tier: values are the *already-serialized*
     (sorted-keys JSON) payload bytes, so serving a hit does no disk I/O
     and no JSON round-trip — the bytes are spliced straight into the
-    HTTP response.  Both the entry count and the summed payload bytes
-    are bounded; insertion evicts strict-LRU until both bounds hold.
+    HTTP response.  The summed payload bytes are bounded; insertion
+    evicts strict-LRU until the bound holds.
     Thread-safe: the service touches it from the event loop *and* from
     executor threads.
 
@@ -289,7 +270,7 @@ class HotCache:
     code version), so entries can be stale-useless but never stale-wrong.
 
     Example:
-        >>> hot = HotCache(max_entries=2, max_bytes=1024)
+        >>> hot = HotCache(max_bytes=14)  # room for two 7-byte payloads
         >>> hot.put("a" * 64, b'{"x":1}')
         True
         >>> hot.get("a" * 64)
@@ -302,12 +283,9 @@ class HotCache:
         (1, 1, 1)
     """
 
-    def __init__(self, max_entries: int = 512, max_bytes: int = 64 << 20):
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
+    def __init__(self, max_bytes: int = 64 << 20):
         if max_bytes < 1:
             raise ValueError(f"max_bytes must be >= 1, got {max_bytes}")
-        self.max_entries = max_entries
         self.max_bytes = max_bytes
         self.stats = HotCacheStats()
         self._lock = threading.Lock()
@@ -350,9 +328,7 @@ class HotCache:
             self._entries[key] = blob
             self._bytes += size
             self.stats.stores += 1
-            while len(self._entries) > self.max_entries or (
-                self._bytes > self.max_bytes
-            ):
+            while self._bytes > self.max_bytes:
                 _, evicted = self._entries.popitem(last=False)
                 self._bytes -= len(evicted)
                 self.stats.evictions += 1
@@ -389,7 +365,6 @@ class HotCache:
             snapshot = {
                 "entries": len(self._entries),
                 "payload_bytes": self._bytes,
-                "max_entries": self.max_entries,
                 "max_bytes": self.max_bytes,
             }
             snapshot.update(self.stats.as_dict())

@@ -29,18 +29,12 @@ Core mechanics:
   in-flight work, answers new submissions with ``503``, flushes
   orphaned cache temp files, and only then releases the executor.
 * **Hot tier** — above the on-disk :class:`~repro.exec.cache.ResultCache`
-  sits a bounded in-memory :class:`~repro.exec.cache.HotCache` of
+  sits a byte-bounded in-memory :class:`~repro.exec.cache.HotCache` of
   already-serialized payload bytes.  A hot hit is answered on the event
   loop *before* admission — no executor hop, no disk I/O, no JSON
   re-serialization (the stored bytes are spliced into the response) —
   so repeat-hot circuits cost microseconds and never occupy an
   execution slot.
-* **Degraded modes** — a submission may carry ``"mode"``:
-  ``"cache_only"`` answers from the hot/disk tiers or 404s without
-  touching admission, and ``"lint_only"`` returns a lint-only analysis
-  of the circuit from a dedicated side executor.  The fleet router uses
-  these as its graduated load-shedding ladder (full → cached → lint →
-  429); they are equally callable by any direct client.
 * **Observability** — ``GET /metrics`` aggregates the service
   counters, the service-level :class:`~repro.perf.PerfTrace` stage
   timers, p50/p99 request/execute latency histograms
@@ -88,17 +82,13 @@ __all__ = [
     "CompileService",
     "ServiceThread",
     "parse_submission",
-    "SUBMISSION_MODES",
 ]
 
 #: MercedConfig field names accepted at a submission's top level.
 _CONFIG_KEYS = tuple(f.name for f in fields(MercedConfig))
 
 #: Non-config keys accepted at a submission's top level.
-_SUBMISSION_KEYS = ("kind", "circuit", "bench", "params", "timeout", "mode")
-
-#: Service-level execution modes a submission may request.
-SUBMISSION_MODES = ("full", "cache_only", "lint_only")
+_SUBMISSION_KEYS = ("kind", "circuit", "bench", "params", "timeout")
 
 #: Placeholder the hot path splices pre-serialized payload bytes over.
 #: ``"value"`` sorts last among the envelope keys, so an ``rpartition``
@@ -143,15 +133,8 @@ class ServiceConfig:
             client kill the server process (``_exit``) or pin executor
             slots (``_sleep``/``_spin``); enable only for test
             deployments.
-        hot_entries: in-memory hot-tier entry bound (``0`` disables the
-            hot tier entirely).
-        hot_bytes: in-memory hot-tier payload-byte bound.
-        lint_capacity: maximum pending ``lint_only`` answers (they run
-            on a dedicated side thread so shedding still degrades when
-            every executor slot is busy); ``0`` disables lint-only
-            answers (requests get 429 instead).
-        shard_name: label for this process in ``/metrics`` — the fleet
-            sets ``shard-0``..``shard-N``; empty for standalone serves.
+        hot_bytes: in-memory hot-tier payload-byte bound (``0``
+            disables the hot tier entirely).
     """
 
     host: str = "127.0.0.1"
@@ -166,10 +149,7 @@ class ServiceConfig:
     retry_after: float = 1.0
     belt_slack: float = 5.0
     allow_fault_kinds: bool = False
-    hot_entries: int = 512
     hot_bytes: int = 64 << 20
-    lint_capacity: int = 8
-    shard_name: str = ""
 
 
 class ServiceMetrics:
@@ -198,14 +178,10 @@ class ServiceMetrics:
             "coalesced": 0,
             "rejected_backpressure": 0,
             "rejected_draining": 0,
-            "rejected_lint_queue": 0,
             "executed": 0,
             "cache_hits": 0,
             "hot_hits": 0,
             "hot_stores": 0,
-            "cache_only_hits": 0,
-            "cache_only_misses": 0,
-            "lint_only_served": 0,
             "completed_ok": 0,
             "failed": 0,
             "timeouts": 0,
@@ -225,10 +201,7 @@ class ServiceMetrics:
     def observe_latency(self, name: str, seconds: float) -> None:
         """Record one latency sample on histogram ``name``."""
         with self._lock:
-            histogram = self.latency.get(name)
-            if histogram is None:
-                histogram = self.latency[name] = LatencyHistogram()
-            histogram.observe(seconds)
+            self.latency[name].observe(seconds)
 
     def as_dict(self) -> Dict[str, object]:
         """Consistent snapshot of counters + perf trace + latency."""
@@ -248,18 +221,8 @@ def parse_submission(
     *,
     default_timeout: Optional[float] = None,
     allow_fault_kinds: bool = False,
-) -> Tuple[SweepPoint, Optional[float], str]:
-    """Validate a submission dict into ``(SweepPoint, deadline, mode)``.
-
-    Shared by :class:`CompileService` (admission) and the fleet router
-    (consistent-hash routing needs the very same
-    :func:`~repro.exec.hashing.point_key` the workers coalesce and
-    cache by, so both sides must canonicalize submissions identically).
-
-    ``mode`` is the service-level execution mode (one of
-    :data:`SUBMISSION_MODES`); it does not enter the point, so a
-    ``cache_only`` probe looks up exactly the key its ``full``
-    counterpart stored.
+) -> Tuple[SweepPoint, Optional[float]]:
+    """Validate a submission dict into ``(SweepPoint, deadline)``.
 
     Raises ``ValueError``/:class:`~repro.errors.ReproError` for
     malformed submissions (rendered as 400 responses).
@@ -273,11 +236,6 @@ def parse_submission(
         raise ValueError(
             f"unknown submission key(s) {sorted(unknown)}; "
             f"accepted: {sorted(_SUBMISSION_KEYS + _CONFIG_KEYS)}"
-        )
-    mode = submission.get("mode", "full")
-    if mode not in SUBMISSION_MODES:
-        raise ValueError(
-            f"unknown mode {mode!r} (known: {list(SUBMISSION_MODES)})"
         )
     kind = submission.get("kind", "merced")
     if kind not in known_kinds():
@@ -338,7 +296,7 @@ def parse_submission(
         deadline_s = (
             requested if deadline_s is None else min(requested, deadline_s)
         )
-    return point, deadline_s, str(mode)
+    return point, deadline_s
 
 
 class CompileService:
@@ -364,11 +322,8 @@ class CompileService:
             else None
         )
         self.hot = (
-            HotCache(
-                max_entries=self.config.hot_entries,
-                max_bytes=self.config.hot_bytes,
-            )
-            if self.config.hot_entries > 0
+            HotCache(max_bytes=self.config.hot_bytes)
+            if self.config.hot_bytes > 0
             else None
         )
         self.metrics = ServiceMetrics()
@@ -376,11 +331,9 @@ class CompileService:
         self._inflight: Dict[str, asyncio.Future] = {}
         self._active = 0
         self._stranded = 0
-        self._lint_pending = 0
         self._draining = False
         self._server: Optional[asyncio.AbstractServer] = None
         self._executor: Optional[ThreadPoolExecutor] = None
-        self._lint_executor: Optional[ThreadPoolExecutor] = None
         self._code: Optional[str] = None
 
     # ------------------------------------------------------------------
@@ -392,13 +345,6 @@ class CompileService:
             max_workers=self.config.workers,
             thread_name_prefix="merced-service",
         )
-        if self.config.lint_capacity > 0:
-            # One side thread keeps lint-only answers flowing even when
-            # every execution slot is pinned — that is the whole point
-            # of the load-shedding ladder's last useful rung.
-            self._lint_executor = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="merced-lint"
-            )
         # Hash the code tree once up front, not per request — and off
         # the loop: the first code_version() call reads every package
         # source file from disk.
@@ -453,8 +399,6 @@ class CompileService:
             )
         if self._executor is not None:
             self._executor.shutdown(wait=False)
-        if self._lint_executor is not None:
-            self._lint_executor.shutdown(wait=False)
 
     @property
     def draining(self) -> bool:
@@ -582,7 +526,6 @@ class CompileService:
         snapshot = self.metrics.as_dict()
         return {
             "service": {
-                "shard": self.config.shard_name,
                 "draining": self._draining,
                 "queue_depth": self._active,
                 "stranded": self._stranded,
@@ -618,7 +561,7 @@ class CompileService:
         """
         self.metrics.bump("submissions")
         try:
-            point, deadline_s, mode = self._point_from(submission)
+            point, deadline_s = self._point_from(submission)
         except (ReproError, KeyError, TypeError, ValueError) as exc:
             self.metrics.bump("bad_requests")
             return 400, {
@@ -637,19 +580,14 @@ class CompileService:
 
         key = point_key_strict(point, self._code)
 
-        # Hot tier first, whatever the mode: answered on the event loop
-        # with the stored bytes spliced straight into the response — no
-        # admission slot, no executor hop, no disk, no re-serialization.
+        # Hot tier first: answered on the event loop with the stored
+        # bytes spliced straight into the response — no admission slot,
+        # no executor hop, no disk, no re-serialization.
         if self.hot is not None:
             blob = self.hot.get(key)
             if blob is not None:
                 self.metrics.bump("hot_hits")
                 return 200, self._hot_response(point, key, blob), None
-
-        if mode == "cache_only":
-            return await self._cache_only(point, key)
-        if mode == "lint_only":
-            return await self._lint_only(point, key)
 
         existing = self._inflight.get(key)
         if existing is not None:
@@ -761,18 +699,19 @@ class CompileService:
             call.exception()
 
     # ------------------------------------------------------------------
-    # hot tier + degraded modes
+    # hot tier
     # ------------------------------------------------------------------
-    def _spliced_response(
-        self, point: SweepPoint, key: str, blob: bytes, hot: bool
+    def _hot_response(
+        self, point: SweepPoint, key: str, blob: bytes
     ) -> RawJSON:
-        """Build a response around pre-serialized payload ``blob`` bytes.
+        """The zero-copy response for an in-memory hot-tier hit.
 
         The envelope is rendered normally (sorted keys) with a sentinel
-        in the ``value`` slot, then the payload bytes are spliced over
-        it — the cached JSON is never decoded.  ``rpartition`` is safe
-        because ``value`` sorts last among the envelope keys, so the
-        final sentinel occurrence is always the value slot.
+        in the ``value`` slot, then the payload ``blob`` bytes are
+        spliced over it — the cached JSON is never decoded.
+        ``rpartition`` is safe because ``value`` sorts last among the
+        envelope keys, so the final sentinel occurrence is always the
+        value slot.
         """
         envelope = {
             "ok": True,
@@ -780,7 +719,7 @@ class CompileService:
             "kind": point.kind,
             "circuit": point.circuit,
             "cache_hit": True,
-            "hot": hot,
+            "hot": True,
             "coalesced": False,
             "attempts": 0,
             "seconds": 0.0,
@@ -789,126 +728,6 @@ class CompileService:
         rendered = json.dumps(envelope, sort_keys=True)
         head, _, tail = rendered.rpartition(f'"{_HOT_SENTINEL}"')
         return RawJSON(head.encode("utf-8") + blob + tail.encode("utf-8"))
-
-    def _hot_response(
-        self, point: SweepPoint, key: str, blob: bytes
-    ) -> RawJSON:
-        """The zero-copy response for an in-memory hot-tier hit."""
-        return self._spliced_response(point, key, blob, hot=True)
-
-    def _store_hot(self, key: str, blob: Optional[bytes]) -> None:
-        """Insert serialized payload bytes into the hot tier, if enabled."""
-        if self.hot is not None and blob is not None:
-            if self.hot.put(key, blob):
-                self.metrics.bump("hot_stores")
-
-    async def _cache_only(
-        self, point: SweepPoint, key: str
-    ) -> Tuple[int, object, Optional[Dict[str, str]]]:
-        """Answer from the disk tier without touching admission.
-
-        The hot tier was already consulted by :meth:`submit_point`; a
-        disk hit is promoted into it so the next repeat is a memory
-        splice.  A miss is a ``404`` — the router's shedding ladder
-        falls through to ``lint_only`` on it.  The disk read happens on
-        an executor thread, not the event loop.
-        """
-        if self.cache is not None:
-            blob = await asyncio.get_running_loop().run_in_executor(
-                None, self.cache.get_bytes, key
-            )
-        else:
-            blob = None
-        if blob is None:
-            self.metrics.bump("cache_only_misses")
-            return 404, {
-                "ok": False,
-                "key": short_key(key),
-                "kind": point.kind,
-                "circuit": point.circuit,
-                "error": "result not cached",
-                "error_type": "CacheMiss",
-                "coalesced": False,
-            }, None
-        self.metrics.bump("cache_only_hits")
-        self._store_hot(key, blob)
-        return 200, self._spliced_response(point, key, blob, hot=False), None
-
-    async def _lint_only(
-        self, point: SweepPoint, key: str
-    ) -> Tuple[int, object, Optional[Dict[str, str]]]:
-        """Serve a lint-only analysis instead of a compile.
-
-        The last useful rung of the shedding ladder: runs the static
-        linter on a dedicated side thread with its own small pending
-        bound, so clients still get circuit feedback when every
-        execution slot is busy.  The answer is a *degraded* row
-        (``ok: false``, ``degraded: "lint_only"``) — data, not an
-        error, matching the farm's degraded-row convention.
-        """
-        if point.kind not in ("merced", "beta"):
-            self.metrics.bump("bad_requests")
-            return 400, {
-                "ok": False,
-                "error": f"mode 'lint_only' needs a circuit kind, "
-                f"not {point.kind!r}",
-                "error_type": "ValueError",
-            }, None
-        if (
-            self._lint_executor is None
-            or self._lint_pending >= self.config.lint_capacity
-        ):
-            self.metrics.bump("rejected_lint_queue")
-            retry = self.config.retry_after
-            return 429, {
-                "ok": False,
-                "error": "lint-only queue full",
-                "error_type": "ServiceOverloaded",
-                "retry_after": retry,
-            }, {"Retry-After": f"{retry:g}"}
-
-        def _run_lint() -> Dict[str, object]:
-            from ..analysis.lint import lint_circuit
-
-            netlist = parse_bench(point.bench, name=point.circuit)
-            report = lint_circuit(netlist, point.config)
-            return {
-                "summary": report.summary(),
-                "has_errors": report.has_errors,
-                "report": report.to_dict(),
-            }
-
-        self._lint_pending += 1
-        loop = asyncio.get_running_loop()
-        t0 = time.perf_counter()
-        try:
-            lint = await loop.run_in_executor(self._lint_executor, _run_lint)
-        except Exception as exc:
-            return 200, {
-                "ok": False,
-                "key": short_key(key),
-                "kind": point.kind,
-                "circuit": point.circuit,
-                "degraded": "lint_only",
-                "coalesced": False,
-                "error": f"lint-only answer failed: {exc}",
-                "error_type": type(exc).__name__,
-            }, None
-        finally:
-            self._lint_pending -= 1
-        self.metrics.bump("lint_only_served")
-        self.metrics.observe_latency("lint", time.perf_counter() - t0)
-        return 200, {
-            "ok": False,
-            "key": short_key(key),
-            "kind": point.kind,
-            "circuit": point.circuit,
-            "degraded": "lint_only",
-            "coalesced": False,
-            "error": "degraded under load: lint-only analysis, no compile",
-            "error_type": "DegradedAnswer",
-            "lint": lint,
-        }, None
 
     def _result_response(
         self, result: TaskResult, key: str
@@ -932,15 +751,17 @@ class CompileService:
             self.metrics.bump("completed_ok")
             response["value"] = result.value
             # Feed the hot tier: fresh executions and disk-cache hits
-            # alike, so the repeat traffic that dominates fleet replays
-            # is answered from memory from the second occurrence on.
-            try:
-                blob = json.dumps(result.value, sort_keys=True).encode(
-                    "utf-8"
-                )
-            except (TypeError, ValueError):
-                blob = None
-            self._store_hot(key, blob)
+            # alike, so repeat traffic is answered from memory from the
+            # second occurrence on.
+            if self.hot is not None:
+                try:
+                    blob = json.dumps(result.value, sort_keys=True).encode(
+                        "utf-8"
+                    )
+                except (TypeError, ValueError):
+                    blob = None
+                if blob is not None and self.hot.put(key, blob):
+                    self.metrics.bump("hot_stores")
         else:
             self.metrics.bump("failed")
             if result.error_type == "SweepTimeoutError":
@@ -954,7 +775,7 @@ class CompileService:
 
     def _point_from(
         self, submission: Dict[str, object]
-    ) -> Tuple[SweepPoint, Optional[float], str]:
+    ) -> Tuple[SweepPoint, Optional[float]]:
         """Validate a submission under this service's config."""
         return parse_submission(
             submission,

@@ -1,20 +1,17 @@
 """Unit tests for the in-memory hot tier (:class:`repro.exec.cache.HotCache`).
 
-The fleet's throughput lever is aggregate hot-tier capacity, so the
-LRU's bounds, eviction order, and stats must be exactly right — these
-tests pin them down without any service in the loop.  The disk tier's
-``get_bytes`` (the promotion path into the hot tier) is covered here
-too.
+The service's hot-hit share depends on hot-tier capacity, so the
+LRU's byte bound, eviction order, and stats must be exactly right —
+these tests pin them down without any service in the loop.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 
 import pytest
 
-from repro.exec.cache import HotCache, ResultCache
+from repro.exec.cache import HotCache
 
 
 def _key(i: int) -> str:
@@ -24,8 +21,8 @@ def _key(i: int) -> str:
 # ----------------------------------------------------------------------
 # bounds + eviction
 # ----------------------------------------------------------------------
-def test_entry_bound_evicts_strict_lru():
-    hot = HotCache(max_entries=3, max_bytes=1 << 20)
+def test_byte_bound_evicts_strict_lru():
+    hot = HotCache(max_bytes=3 * 8)  # room for exactly three entries
     for i in range(3):
         assert hot.put(_key(i), b"x" * 8)
     hot.put(_key(3), b"x" * 8)  # evicts key 0, the least recent
@@ -36,7 +33,7 @@ def test_entry_bound_evicts_strict_lru():
 
 
 def test_get_refreshes_recency():
-    hot = HotCache(max_entries=3, max_bytes=1 << 20)
+    hot = HotCache(max_bytes=3)
     for i in range(3):
         hot.put(_key(i), b"x")
     hot.get(_key(0))  # 0 is now the most recent; 1 is LRU
@@ -46,7 +43,7 @@ def test_get_refreshes_recency():
 
 
 def test_byte_bound_evicts_until_it_holds():
-    hot = HotCache(max_entries=100, max_bytes=100)
+    hot = HotCache(max_bytes=100)
     for i in range(4):
         hot.put(_key(i), b"x" * 40)  # 160 bytes demanded, 100 allowed
     assert hot.payload_bytes <= 100
@@ -56,7 +53,7 @@ def test_byte_bound_evicts_until_it_holds():
 
 
 def test_oversized_payload_rejected_not_thrashed():
-    hot = HotCache(max_entries=4, max_bytes=64)
+    hot = HotCache(max_bytes=64)
     hot.put(_key(0), b"x" * 10)
     assert hot.put(_key(1), b"x" * 65) is False
     assert hot.stats.oversized == 1
@@ -65,7 +62,7 @@ def test_oversized_payload_rejected_not_thrashed():
 
 
 def test_reinsert_refreshes_value_and_byte_accounting():
-    hot = HotCache(max_entries=4, max_bytes=1 << 20)
+    hot = HotCache(max_bytes=1 << 20)
     hot.put(_key(0), b"x" * 100)
     hot.put(_key(0), b"y" * 7)
     assert hot.get(_key(0)) == b"y" * 7
@@ -75,16 +72,16 @@ def test_reinsert_refreshes_value_and_byte_accounting():
 
 def test_bounds_must_be_positive():
     with pytest.raises(ValueError):
-        HotCache(max_entries=0)
-    with pytest.raises(ValueError):
         HotCache(max_bytes=0)
+    with pytest.raises(ValueError):
+        HotCache(max_bytes=-1)
 
 
 # ----------------------------------------------------------------------
 # stats + introspection
 # ----------------------------------------------------------------------
 def test_stats_counters_and_hit_rate():
-    hot = HotCache(max_entries=8, max_bytes=1 << 20)
+    hot = HotCache(max_bytes=1 << 20)
     assert hot.get(_key(0)) is None
     hot.put(_key(0), b"x")
     assert hot.get(_key(0)) == b"x"
@@ -100,7 +97,7 @@ def test_stats_counters_and_hit_rate():
 
 
 def test_peek_touches_neither_stats_nor_recency():
-    hot = HotCache(max_entries=2, max_bytes=1 << 20)
+    hot = HotCache(max_bytes=2)
     hot.put(_key(0), b"x")
     hot.put(_key(1), b"x")
     assert hot.peek(_key(0)) is True
@@ -111,7 +108,7 @@ def test_peek_touches_neither_stats_nor_recency():
 
 
 def test_clear_resets_occupancy_but_keeps_history():
-    hot = HotCache(max_entries=8, max_bytes=1 << 20)
+    hot = HotCache(max_bytes=1 << 20)
     for i in range(3):
         hot.put(_key(i), b"x" * 5)
     assert hot.clear() == 3
@@ -120,7 +117,7 @@ def test_clear_resets_occupancy_but_keeps_history():
 
 
 def test_concurrent_put_get_is_safe_and_bounded():
-    hot = HotCache(max_entries=16, max_bytes=1 << 20)
+    hot = HotCache(max_bytes=16 * 16)  # room for sixteen entries
 
     def worker(base: int) -> None:
         for i in range(200):
@@ -138,22 +135,3 @@ def test_concurrent_put_get_is_safe_and_bounded():
     assert not any(t.is_alive() for t in threads)
     assert len(hot) <= 16
     assert hot.payload_bytes == len(hot) * 16
-
-
-# ----------------------------------------------------------------------
-# disk-tier promotion path
-# ----------------------------------------------------------------------
-def test_result_cache_get_bytes_is_canonical_sorted_json(tmp_path):
-    cache = ResultCache(tmp_path)
-    payload = {"b": 2, "a": 1, "nested": {"z": 0, "y": [1, 2]}}
-    cache.put(_key(0), payload)
-    blob = cache.get_bytes(_key(0))
-    assert blob == json.dumps(payload, sort_keys=True).encode("utf-8")
-    assert json.loads(blob) == payload
-    assert cache.stats.hits == 1
-
-
-def test_result_cache_get_bytes_miss_accounting(tmp_path):
-    cache = ResultCache(tmp_path)
-    assert cache.get_bytes(_key(1)) is None
-    assert cache.stats.misses == 1

@@ -27,8 +27,8 @@ def conc_findings(code, path="src/repro/service/replica.py"):
 
 class TestAnalyzerCatchesTheFixedHazards:
     def test_event_loop_code_version_hash(self):
-        # server.py start() / router.py start() called code_version()
-        # (walks + hashes the source tree) directly on the event loop.
+        # server.py start() called code_version() (walks + hashes the
+        # source tree) directly on the event loop.
         code = (
             "def code_version():\n"
             "    import hashlib\n"
@@ -165,13 +165,13 @@ class TestRuntimeFixes:
         # from a writer thread and require internally consistent dicts.
         from repro.exec.cache import HotCache
 
-        cache = HotCache(max_entries=8)
+        cache = HotCache(max_bytes=8 * 8)  # room for eight entries
         stop = threading.Event()
 
         def writer():
             i = 0
             while not stop.is_set():
-                cache.put(f"k{i % 16}", {"v": i})
+                cache.put(f"k{i % 16}", b"%08d" % (i % 10**8))
                 cache.get(f"k{(i + 1) % 16}")
                 i += 1
 

@@ -8,7 +8,8 @@ submit`` uses.  Covers the ISSUE's required behaviours: request
 coalescing (N identical concurrent submissions → exactly one
 ``SweepFarm`` execution), bounded-admission backpressure (rejects, not
 hangs), per-request deadlines enforced off the main thread, graceful
-drain, and bit-identical payloads versus the inline pipeline.
+drain, the hot tier's spliced responses, the client's busy retries,
+and bit-identical payloads versus the inline pipeline.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ def boot(tmp_path):
         handle = ServiceThread(ServiceConfig(**settings)).start()
         handles.append(handle)
         # retry_on_busy off: this suite asserts raw 429 semantics
-        # (immediacy, counters); the retry loop is covered in
-        # tests/service/test_fleet.py.
+        # (immediacy, counters); the retry loop has its own tests
+        # below.
         client = ServiceClient(
             port=handle.port, timeout=60.0, retry_on_busy=False
         )
@@ -211,6 +212,19 @@ def test_concurrent_duplicate_is_coalesced_not_reexecuted(boot):
     assert counters["admitted"] == 1
     assert counters["coalesced"] == 1
     assert client.metrics()["cache"]["stores"] == 1
+
+
+def test_hot_hit_response_bytes_match_first_cached_response(boot):
+    """The hot tier's spliced bytes must decode to the same value the
+    execution path served."""
+    _, client = boot()
+    first = client.compile_point(circuit="s27", lk=4)
+    hot = client.compile_point(circuit="s27", lk=4)
+    assert hot["hot"] is True and hot["cache_hit"] is True
+    assert json.dumps(hot["value"], sort_keys=True) == json.dumps(
+        first["value"], sort_keys=True
+    )
+    assert client.metrics()["counters"]["hot_hits"] == 1
 
 
 def test_sequential_duplicate_served_from_disk_cache(boot):
@@ -390,10 +404,11 @@ def test_drain_finishes_inflight_rejects_new_flushes_tmp(boot, tmp_path):
 # ----------------------------------------------------------------------
 def test_unknown_submission_key_is_400(boot):
     _, client = boot()
-    with pytest.raises(ServiceRejectedError) as err:
-        client.compile_point(circuit="s27", bogus=1)
-    assert err.value.status == 400
-    assert "bogus" in err.value.payload["error"]
+    for key, value in (("bogus", 1), ("mode", "cache_only")):
+        with pytest.raises(ServiceRejectedError) as err:
+            client.compile_point(circuit="s27", **{key: value})
+        assert err.value.status == 400
+        assert f"[{key!r}]" in err.value.payload["error"]
 
 
 def test_fault_injection_kinds_locked_out_by_default(boot):
@@ -441,3 +456,57 @@ def test_missing_circuit_and_bench_is_400(boot):
     with pytest.raises(ServiceRejectedError) as err:
         client.compile_point()
     assert err.value.status == 400
+
+
+# ----------------------------------------------------------------------
+# client busy-retry (the loop is client-side)
+# ----------------------------------------------------------------------
+def _busy_service(boot):
+    """One slot, one queue seat, a short ``Retry-After``, no hot tier."""
+    handle, _ = boot(
+        workers=1, queue_capacity=1, retry_after=0.2, hot_bytes=0
+    )
+    return handle
+
+
+def test_client_retries_busy_until_capacity_frees(boot):
+    handle = _busy_service(boot)
+    client = ServiceClient(port=handle.port, timeout=60.0, retries=6)
+    blocker = threading.Thread(
+        target=lambda: client.compile_point(
+            kind="_spin", params={"seconds": 1.2}
+        )
+    )
+    blocker.start()
+    time.sleep(0.3)
+    # fails hard without retries; with them, the Retry-After backoff
+    # outlives the spin and the point lands
+    row = client.compile_point(circuit="s27", lk=3, seed=7)
+    blocker.join(30.0)
+    assert not blocker.is_alive()
+    assert row["ok"] is True
+    counters = handle.service.metrics.as_dict()["counters"]
+    assert counters["rejected_backpressure"] >= 1
+
+
+def test_client_opt_out_fails_fast(boot):
+    handle = _busy_service(boot)
+    client = ServiceClient(
+        port=handle.port, timeout=60.0, retry_on_busy=False
+    )
+    blocker = threading.Thread(
+        target=lambda: client.compile_point(
+            kind="_spin", params={"seconds": 1.0}
+        )
+    )
+    blocker.start()
+    time.sleep(0.3)
+    try:
+        with pytest.raises(ServiceRejectedError) as err:
+            client.compile_point(circuit="s27", lk=3, seed=7)
+    finally:
+        blocker.join(30.0)
+    assert err.value.status == 429
+    # one rejection on the wire, zero retries behind it
+    counters = handle.service.metrics.as_dict()["counters"]
+    assert counters["rejected_backpressure"] == 1
