@@ -25,7 +25,7 @@ OUT = Path(__file__).resolve().parents[1] / "docs" / "API.md"
 PREAMBLE = """\
 ## Installation & running the examples
 
-The package is pure Python with no third-party runtime dependencies.
+The package is pure Python; its one runtime dependency is numpy.
 Install it editable for development (`pip install -e .`), or skip
 installation entirely: every `examples/*.py` script bootstraps `src/`
 onto `sys.path` relative to its own location, so

@@ -57,7 +57,6 @@ class Merced:
         retimable_method: str = "scc-budget",
         graph=None,
         scc_index: Optional[SCCIndex] = None,
-        optimize_solver: str = "auto",
     ) -> MercedReport:
         """Run STEPs 1–4 on ``netlist`` and return the full report.
 
@@ -72,12 +71,6 @@ class Merced:
                 resets its flow state, so sharing is safe; the compiled
                 CSR arrays and SCC structure carry over unchanged.
             scc_index: the matching prebuilt :class:`SCCIndex`.
-            optimize_solver: retiming backend for the refinement tier's
-                inner re-solves when ``config.optimize`` is set
-                (``"mcf"`` drop sets are verified as legal minimal
-                covers).  Deliberately *not* a config field: it cannot
-                change the legality of the result, so it stays out of
-                the sweep cache identity.
 
         Raises:
             AnalysisError: the entry lint gate found structural errors
@@ -168,7 +161,6 @@ class Merced:
                     self.config,
                     name=netlist.name,
                     locked=locked,
-                    solver=optimize_solver,
                 )
             partition = refined.partition
             cost_dff = refined.sigma_after
@@ -259,7 +251,6 @@ def compile_circuit(
     emit_bist: bool = True,
     pin_io: bool = False,
     bist_kwargs: Optional[dict] = None,
-    retiming_solver: str = "auto",
 ) -> CompilationArtifacts:
     """One-call BIST compilation: partition, retime, emit hardware.
 
@@ -274,11 +265,6 @@ def compile_circuit(
         pin_io: strict I/O-latency-preserving retiming (host condition).
         bist_kwargs: forwarded to
             :func:`repro.cbit.insert.insert_test_hardware`.
-        retiming_solver: feasibility backend for the cut-retiming solve
-            (see :func:`repro.retiming.solve.solve_cut_retiming`):
-            ``"auto"``/``"jacobi"``/``"spfa"``/``"reference"`` are
-            bit-identical; ``"mcf"`` is the experimental min-cost-flow
-            backend.
 
     Example:
         >>> from repro import load_circuit, MercedConfig
@@ -301,7 +287,6 @@ def compile_circuit(
             graph,
             report.partition.cut_nets(),
             pin_io=pin_io,
-            solver=retiming_solver,
         )
         retimed = apply_retiming(netlist, retiming.retiming.rho)
     if emit_bist:

@@ -40,7 +40,6 @@ from .refine import (
     MUX_PREMIUM_DFF,
     OptimizeResult,
     refine_cost,
-    retime_cuts,
     schedule_steps,
 )
 
@@ -54,7 +53,6 @@ __all__ = [
     "fast_refine",
     "optimize_partition",
     "refine_cost",
-    "retime_cuts",
     "schedule_steps",
 ]
 
@@ -69,7 +67,6 @@ def optimize_partition(
     name: str = "",
     edges: Optional[Sequence[WeightedEdge]] = None,
     locked: Optional[Set[str]] = None,
-    solver: str = "auto",
     audit: bool = False,
 ) -> OptimizeResult:
     """Run the refinement variant selected by ``config.optimize``.
@@ -94,6 +91,5 @@ def optimize_partition(
         name=name,
         edges=edges,
         locked=locked,
-        solver=solver,
         audit=audit,
     )

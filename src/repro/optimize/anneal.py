@@ -55,12 +55,12 @@ from ..graphs.digraph import CircuitGraph, NodeKind
 from ..graphs.paths import WeightedEdge, register_weighted_edges
 from ..graphs.scc import SCCIndex
 from ..partition.clusters import Partition
+from ..retiming.solve import solve_cut_retiming
 from .engine import MoveEngine
 from .refine import (
     OptimizeResult,
     estimate_retime_seconds,
     refine_cost,
-    retime_cuts,
     schedule_steps,
     unchanged_result,
 )
@@ -90,7 +90,6 @@ def anneal_refine(
     name: str = "",
     edges: Optional[Sequence[WeightedEdge]] = None,
     locked: Optional[Set[str]] = None,
-    solver: str = "auto",
     audit: bool = False,
 ) -> OptimizeResult:
     """Refine ``partition`` by legality-checked simulated annealing.
@@ -107,8 +106,6 @@ def anneal_refine(
         edges: precomputed ``register_weighted_edges(graph)`` to reuse
             (computed once here otherwise and shared by every re-solve).
         locked: node names the annealer must not relocate.
-        solver: retiming backend for the inner re-solves (``"mcf"``
-            solutions are verified as legal minimal covers).
         audit: run :meth:`MoveEngine.assert_consistent` after every
             accepted move (the property-test hook; quadratic, tests
             only).
@@ -127,7 +124,7 @@ def anneal_refine(
     ]
     sigma0 = engine.sigma
     cuts0 = engine.n_cuts
-    solution = retime_cuts(graph, engine.cut_nets(), edges, solver)
+    solution = solve_cut_retiming(graph, engine.cut_nets(), edges=edges)
     uncovered0 = len(solution.dropped_cuts)
     n_retimes = 1
     # nets the last exact solve proved free (covered or unconstrained);
@@ -191,8 +188,8 @@ def anneal_refine(
             else:
                 engine.undo(record)
         if step % checkpoint_every == 0 and step < n_steps:
-            solution = retime_cuts(
-                graph, engine.cut_nets(), edges, solver
+            solution = solve_cut_retiming(
+                graph, engine.cut_nets(), edges=edges
             )
             n_retimes += 1
             known_ok = set(solution.covered_cuts) | set(
@@ -218,7 +215,7 @@ def anneal_refine(
     # cost holds up against the seed's
     refined = engine.export_partition(best_snapshot, scc_index)
     final_cuts = refined.cut_nets()
-    final_solution = retime_cuts(graph, final_cuts, edges, solver)
+    final_solution = solve_cut_retiming(graph, final_cuts, edges=edges)
     n_retimes += 1
     sigma_best = engine.sigma_of(best_snapshot)
     uncovered_best = len(final_solution.dropped_cuts)

@@ -26,8 +26,9 @@ from ..graphs.digraph import CircuitGraph, NodeKind
 from ..graphs.paths import WeightedEdge, register_weighted_edges
 from ..graphs.scc import SCCIndex
 from ..partition.clusters import Partition
+from ..retiming.solve import solve_cut_retiming
 from .engine import MoveEngine
-from .refine import OptimizeResult, retime_cuts, schedule_steps
+from .refine import OptimizeResult, schedule_steps
 
 __all__ = ["fast_refine"]
 
@@ -40,7 +41,6 @@ def fast_refine(
     name: str = "",
     edges: Optional[Sequence[WeightedEdge]] = None,
     locked: Optional[Set[str]] = None,
-    solver: str = "auto",
     audit: bool = False,
 ) -> OptimizeResult:
     """Greedy cut-absorption sweeps; strictly improving moves only.
@@ -58,7 +58,7 @@ def fast_refine(
 
     sigma0 = engine.sigma
     cuts0 = engine.n_cuts
-    solution = retime_cuts(graph, engine.cut_nets(), edges, solver)
+    solution = solve_cut_retiming(graph, engine.cut_nets(), edges=edges)
     uncovered0 = len(solution.dropped_cuts)
     n_retimes = 1
     max_proposals = schedule_steps(
@@ -96,7 +96,7 @@ def fast_refine(
             break
 
     if changed_since_retime:
-        solution = retime_cuts(graph, engine.cut_nets(), edges, solver)
+        solution = solve_cut_retiming(graph, engine.cut_nets(), edges=edges)
         n_retimes += 1
     refined = engine.export_partition(scc_index=scc_index)
     return OptimizeResult(

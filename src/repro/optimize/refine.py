@@ -29,22 +29,15 @@ and once on the final best state, so every *reported* number is exact.
 Between checkpoints the uncovered term is estimated pessimistically:
 any current cut the last solve did not prove covered (or
 unconstrained) is charged as uncovered, so the walk can only be
-surprised favourably.  With ``solver="mcf"`` each solution's drop set
-is additionally verified as a legal minimal cover
-(:func:`repro.retiming.verify.verify_drop_set`).
+surprised favourably.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Dict
 
-from ..errors import RetimingError
-from ..graphs.digraph import CircuitGraph
-from ..graphs.paths import WeightedEdge
 from ..partition.clusters import Partition
-from ..retiming.solve import RetimingSolution, solve_cut_retiming
-from ..retiming.verify import verify_drop_set
 
 __all__ = [
     "ACELL_DFF",
@@ -55,7 +48,6 @@ __all__ = [
     "estimate_retime_seconds",
     "refine_cost",
     "schedule_steps",
-    "retime_cuts",
 ]
 
 #: DFF-equivalent area of one A_CELL test register.
@@ -97,34 +89,6 @@ def estimate_retime_seconds(n_edges: int, n_cuts: int) -> float:
     pure function of circuit size, never of measured time.
     """
     return 2e-5 * n_edges * max(1, n_cuts)
-
-
-def retime_cuts(
-    graph: CircuitGraph,
-    cut_nets: Sequence[str],
-    edges: Sequence[WeightedEdge],
-    solver: str = "auto",
-) -> RetimingSolution:
-    """One warm-started cut-retiming solve for the refinement loop.
-
-    Raises:
-        RetimingError: ``solver="mcf"`` produced a drop set that fails
-            the legal-minimal-cover contract (never observed; the check
-            is the guard that makes the experimental backend admissible
-            inside the anneal loop).
-    """
-    solution = solve_cut_retiming(
-        graph, cut_nets, edges=edges, solver=solver
-    )
-    if solver == "mcf":
-        problem = verify_drop_set(
-            graph, cut_nets, solution, edges=edges, minimal=True
-        )
-        if problem is not None:
-            raise RetimingError(
-                f"mcf drop set failed verification mid-refinement: {problem}"
-            )
-    return solution
 
 
 @dataclass

@@ -13,7 +13,6 @@ from .solve import (
     solve_cut_retiming,
     solve_cut_retiming_reference,
 )
-from .mincost import solve_cut_retiming_mcf
 from .verify import verify_drop_set
 from .apply import RetimedCircuit, apply_retiming, trace_to_driver
 from .legality import connection_deltas, infer_retiming, verify_retiming
@@ -29,7 +28,6 @@ __all__ = [
     "bellman_ford_constraints",
     "solve_cut_retiming",
     "solve_cut_retiming_reference",
-    "solve_cut_retiming_mcf",
     "verify_drop_set",
     "RetimedCircuit",
     "apply_retiming",

@@ -24,45 +24,34 @@ once and treats the round loop as an *incremental* sequence of solves:
   feasibility attempt entirely, going straight to the canonical replay.
   On the BENCH circuits almost every round is certified this way, which
   removes the dominant cost of the old loop (a full budget-tripping
-  SPFA per infeasible round).
+  feasibility attempt per infeasible round).
 * **Vectorized relaxation sweeps.**  When feasibility is genuinely in
   question the round is solved by numpy Jacobi sweeps over the interned
   ``con_u``/``con_v`` arrays (:func:`_jacobi_feasible`); initialising
   every variable to 0 makes the fixed point the shortest-path tree from
   an implicit super-source, which is unique — so the feasible
   assignment is bit-identical to :func:`bellman_ford_constraints`
-  regardless of relaxation order.  Without numpy the queue-based
-  :func:`_spfa_feasible` is used instead (same fixed point).
+  regardless of relaxation order.
 * **Canonical replay with in-history fast-forward.**  Infeasible (or
   capped) rounds are resolved by :func:`_bf_rounds`, an interned replay
   of the reference Bellman–Ford that fires the same updates in the same
   order but fast-forwards analytically through the periodic tail — so
   the *canonical* negative cycle (and hence the dropped-cut choice) is
   unchanged, without simulating every dense pass.
-
-An experimental min-cost-flow backend (``solver="mcf"``, see
-:mod:`repro.retiming.mincost`) solves the same drop-minimisation as one
-min-cost circulation instead of a greedy victim loop; it is *not*
-bit-identical to the reference and exists for evaluation.
 """
 
 from __future__ import annotations
 
-from collections import deque
-
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from ..errors import RetimingError
 from ..graphs.digraph import CircuitGraph
 from ..graphs.paths import WeightedEdge, register_weighted_edges
 from ..perf import count as perf_count
 from .model import Retiming, retimed_weight
-
-try:  # numpy accelerates the feasibility sweeps; everything works without
-    import numpy as _np
-except Exception:  # pragma: no cover - exercised via the spfa solver path
-    _np = None
 
 __all__ = [
     "RetimingSolution",
@@ -120,6 +109,8 @@ def bellman_ford_constraints(
         indices identify constraints on one negative cycle.
     """
     dist: Dict[str, int] = {n: 0 for n in nodes}
+    if not constraints:
+        return dist, None
     pred: Dict[str, Optional[int]] = {n: None for n in nodes}  # constraint idx
     n = len(nodes)
     updated_node: Optional[str] = None
@@ -150,66 +141,20 @@ def bellman_ford_constraints(
     return None, cycle
 
 
-def _spfa_feasible(
-    n: int,
-    adj_start: List[int],
-    adj_cons: List[int],
-    con_u: List[int],
-    cost: List[int],
-) -> Tuple[Optional[List[int]], int]:
-    """Queue-based relaxation of interned difference constraints.
-
-    ``adj_start``/``adj_cons`` is the CSR list of constraint indices
-    whose relax *source* is each node (constraint ``x_u − x_v ≤ c`` is
-    the edge ``v → u``); ``con_u[ci]`` is the target and ``cost[ci]``
-    the bound.  Returns ``(dist, relaxations)`` at the unique all-zero
-    fixed point — the queue can only drain at a genuine fixed point — or
-    ``(None, relaxations)`` once the relaxation budget trips.  The
-    budget is a cheap *suspicion* bound, not a certificate: feasible
-    systems settle in a few sweeps' worth of relaxations, while a
-    negative cycle relaxes forever, so tripping early costs nothing but
-    a hand-off.  The caller re-checks every trip with :func:`_bf_rounds`
-    (exact reference semantics), so false positives only cost time —
-    never correctness.
-    """
-    dist = [0] * n
-    inq = bytearray([1]) * n
-    queue = deque(range(n))
-    relaxations = 0
-    budget = 8 * (n + len(cost)) + 64
-    while queue:
-        v = queue.popleft()
-        inq[v] = 0
-        dv = dist[v]
-        for p in range(adj_start[v], adj_start[v + 1]):
-            ci = adj_cons[p]
-            nd = dv + cost[ci]
-            u = con_u[ci]
-            if nd < dist[u]:
-                dist[u] = nd
-                relaxations += 1
-                if relaxations > budget:
-                    return None, relaxations
-                if not inq[u]:
-                    inq[u] = 1
-                    queue.append(u)
-    return dist, relaxations
-
-
 def _jacobi_prep(con_u: List[int]):
     """Precompute the segmented-minimum layout for :func:`_jacobi_feasible`.
 
     Sorts constraints by target node once per solve; the per-round sweep
     then reduces each target's candidate bounds with one
-    ``minimum.reduceat``.  Returns ``None`` when numpy is unavailable or
-    there are no constraints.
+    ``minimum.reduceat``.  Returns ``None`` when there are no
+    constraints.
     """
-    if _np is None or not con_u:
+    if not con_u:
         return None
-    cu = _np.asarray(con_u, dtype=_np.int64)
-    order = _np.argsort(cu, kind="stable")
+    cu = np.asarray(con_u, dtype=np.int64)
+    order = np.argsort(cu, kind="stable")
     cu_ord = cu[order]
-    seg_nodes, seg_starts = _np.unique(cu_ord, return_index=True)
+    seg_nodes, seg_starts = np.unique(cu_ord, return_index=True)
     return order, seg_nodes, seg_starts
 
 
@@ -228,14 +173,13 @@ def _jacobi_feasible(
     :func:`_jacobi_prep`).  A sweep with no change is a fixed point —
     all constraints satisfied — and the all-zero-start fixed point of a
     difference-constraint system is unique, so the result is
-    bit-identical to :func:`bellman_ford_constraints` (and to
-    :func:`_spfa_feasible`) on feasible systems.  Feasible systems
-    converge within ``n`` sweeps (shortest paths have < ``n`` hops);
-    returns ``(None, relaxations)`` when ``max_sweeps`` is exhausted —
-    the caller resolves those rounds exactly with :func:`_bf_rounds`, so
-    a tight cap costs time on deep feasible systems, never correctness.
+    bit-identical to :func:`bellman_ford_constraints` on feasible
+    systems.  Feasible systems converge within ``n`` sweeps (shortest
+    paths have < ``n`` hops); returns ``(None, relaxations)`` when
+    ``max_sweeps`` is exhausted — the caller resolves those rounds
+    exactly with :func:`_bf_rounds`, so a tight cap costs time on deep
+    feasible systems, never correctness.
     """
-    np = _np
     order, seg_nodes, seg_starts = prep
     cv_ord = np.asarray(con_v, dtype=np.int64)[order]
     cost_ord = np.asarray(cost, dtype=np.int64)[order]
@@ -533,7 +477,6 @@ def solve_cut_retiming(
     max_iterations: int = 100000,
     pin_io: bool = False,
     use_compiled: bool = True,
-    solver: str = "auto",
 ) -> RetimingSolution:
     """Find a legal retiming registering as many cut nets as possible.
 
@@ -553,15 +496,6 @@ def solve_cut_retiming(
             runs the reference dense Bellman–Ford every round.  Results
             (lags, covered/dropped cuts, iteration count) are
             bit-identical.
-        solver: feasibility backend for the compiled path.  ``"auto"``
-            picks the vectorized Jacobi sweeps when numpy is available
-            and SPFA otherwise; ``"jacobi"``/``"spfa"`` force one;
-            ``"reference"`` is an alias for ``use_compiled=False``;
-            ``"mcf"`` routes to the experimental min-cost-flow backend
-            (:func:`repro.retiming.mincost.solve_cut_retiming_mcf`),
-            which minimises total requirement shortfall in one
-            circulation and is *not* bit-identical to the greedy
-            reference drop order.
 
     Returns:
         A :class:`RetimingSolution`; its ``retiming`` is legal, every
@@ -571,25 +505,6 @@ def solve_cut_retiming(
         generate a constraint are reported in ``unconstrained_cuts``.
     """
     from ..graphs.build import is_po_node
-
-    if solver not in ("auto", "jacobi", "spfa", "reference", "mcf"):
-        raise ValueError(f"unknown retiming solver {solver!r}")
-    if solver == "mcf":
-        from .mincost import solve_cut_retiming_mcf
-
-        return solve_cut_retiming_mcf(
-            graph,
-            cut_nets,
-            edges=edges,
-            max_iterations=max_iterations,
-            pin_io=pin_io,
-        )
-    if solver == "reference":
-        use_compiled = False
-    if solver == "jacobi" and _np is None:  # pragma: no cover - env guard
-        raise RetimingError(
-            "solver='jacobi' requires numpy; use 'auto' or 'spfa'"
-        )
 
     if edges is None:
         edges = register_weighted_edges(graph)
@@ -632,22 +547,12 @@ def solve_cut_retiming(
     for u, v, _c in io_constraints:
         con_u.append(node_idx[u])
         con_v.append(node_idx[v])
-    by_src: List[List[int]] = [[] for _ in range(n_vars)]
-    for ci, v in enumerate(con_v):
-        by_src[v].append(ci)
-    adj_start: List[int] = [0] * (n_vars + 1)
-    adj_cons: List[int] = []
-    for v in range(n_vars):
-        adj_cons.extend(by_src[v])
-        adj_start[v + 1] = len(adj_cons)
     io_costs = [c for _u, _v, c in io_constraints]
 
     # incremental cost array: rebuilt never, bumped by 1 per dropped edge
     cost = [e.weight - required.get(i, 0) for i, e in enumerate(edges)]
     cost += io_costs
-    jprep = None
-    if use_compiled and solver in ("auto", "jacobi"):
-        jprep = _jacobi_prep(con_u)
+    jprep = _jacobi_prep(con_u) if use_compiled else None
     jacobi_cap = min(n_vars + 1, 257)
 
     dropped: Set[str] = set()
@@ -666,17 +571,16 @@ def solve_cut_retiming(
             )
         if use_compiled:
             dist = None
+            if jprep is None:
+                # no constraints at all: every lag stays 0
+                rho = dict.fromkeys(nodes, 0)
+                break
             if skip_feasible:
                 cert_skips += 1
             else:
-                if jprep is not None:
-                    dist, relaxations = _jacobi_feasible(
-                        n_vars, con_v, cost, jprep, jacobi_cap
-                    )
-                else:
-                    dist, relaxations = _spfa_feasible(
-                        n_vars, adj_start, adj_cons, con_u, cost
-                    )
+                dist, relaxations = _jacobi_feasible(
+                    n_vars, con_v, cost, jprep, jacobi_cap
+                )
                 total_relaxations += relaxations
                 if dist is not None:
                     rho = dict(zip(nodes, dist))

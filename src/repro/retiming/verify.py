@@ -1,33 +1,23 @@
 """Solver-independent verification of a cut-retiming drop set.
 
-The greedy deficit-certificate loop (:mod:`repro.retiming.solve`) and
-the min-cost-flow backend (:mod:`repro.retiming.mincost`) may resolve a
-register-starved circuit by dropping *different* cut sets — mcf
-minimises the total requirement shortfall in one circulation, greedy
-drops victims in negative-cycle discovery order.  Demanding
-sequence-equality (or even set-equality) between the two drop sets is
-therefore the wrong contract, and it is what made ``--retiming-solver
-mcf`` unusable inside loops that cross-check results (the differential
-fuzzer, and now the anneal refinement tier, which re-retimes after
-every accepted move).
-
-What any solver *must* satisfy — regardless of which cuts it chose to
-sacrifice — is the **legal minimal cover** contract implemented by
-:func:`verify_drop_set`:
+:func:`verify_drop_set` checks a :class:`~repro.retiming.solve.RetimingSolution`
+against the **cover** contract from the constraint system alone, without
+re-running the solver — the oracle the fuzz ``solver`` check and the
+benchmark's artifact checks apply to every solve:
 
 * the retiming is legal (``w_ρ(e) ≥ 0`` on every edge);
 * ``covered ⊎ dropped ⊎ unconstrained`` partitions the requested cut
   universe (no cut is lost, none double-counted);
 * **cover** — every covered cut holds ≥ 1 register on *each* of its
   requirement edges under the solver's own lags;
-* **minimal** — no dropped cut is already fully registered under the
-  final lags (such a cut could be covered for free, so reporting it
-  dropped would overstate the MUXed A_CELL cost).
+* **minimal** (optional) — no dropped cut is already fully registered
+  under the final lags (such a cut could be covered for free, so
+  reporting it dropped would overstate the MUXed A_CELL cost).
 
-The mcf backend satisfies minimality by construction (it classifies by
-final weight); the greedy loop keeps its negative-cycle victims dropped
-even when the final lags incidentally register them, so greedy callers
-pass ``minimal=False`` and accept the (sound, conservative) victim set.
+The greedy drop loop of :mod:`repro.retiming.solve` keeps its
+negative-cycle victims dropped even when the final lags incidentally
+register them, so its callers pass ``minimal=False`` and accept the
+(sound, conservative) victim set.
 """
 
 from __future__ import annotations
@@ -57,10 +47,10 @@ def verify_drop_set(
         cut_nets: the cut universe that was submitted to the solver.
         solution: a :class:`~repro.retiming.solve.RetimingSolution`.
         edges: precomputed ``register_weighted_edges(graph)`` to reuse
-            (the warm-start hook shared with the solvers).
+            (the warm-start hook shared with the solver).
         minimal: also require that no dropped cut is fully registered
-            under the final lags.  ``True`` for the mcf backend (holds
-            by construction); ``False`` for the greedy reference, whose
+            under the final lags.  Pass ``False`` for
+            :func:`~repro.retiming.solve.solve_cut_retiming`, whose
             victim set is chosen mid-loop and deliberately kept.
 
     Returns:
@@ -91,7 +81,7 @@ def verify_drop_set(
 
     rho = solution.retiming.rho
     # A cut's requirement edges are exactly the weighted edges whose
-    # first via net is the cut — the same indexing rule the solvers use.
+    # first via net is the cut — the same indexing rule the solver uses.
     fully_registered = {}  # dropped net → every requirement edge ≥ 1 so far
     for e in edges:
         net = e.via_nets[0]

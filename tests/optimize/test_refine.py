@@ -146,20 +146,6 @@ class TestDeterminism:
         assert b.sigma_after <= b.sigma_before + 1e-9
 
 
-class TestInnerSolver:
-    def test_mcf_backend_usable(self):
-        """Satellite 1 payoff: mcf is admissible as the inner solver —
-        its drop sets are verified as legal minimal covers mid-run."""
-        graph, scc_index, partition, config = _seed_partition(
-            "s510", budget=1.0
-        )
-        res = anneal_refine(
-            graph, scc_index, partition, config, name="s510", solver="mcf"
-        )
-        assert res.sigma_after <= res.sigma_before + 1e-9
-        res.partition.validate()
-
-
 class TestMercedIntegration:
     def test_report_carries_optimize_stats(self):
         from repro.core.merced import Merced

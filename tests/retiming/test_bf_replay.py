@@ -19,9 +19,7 @@ from repro.retiming.solve import (
     _bf_rounds,
     _jacobi_feasible,
     _jacobi_prep,
-    _spfa_feasible,
     bellman_ford_constraints,
-    _np,
 )
 
 
@@ -54,18 +52,6 @@ def _interned(cons):
     return con_u, con_v, cost
 
 
-def _csr(n, con_v):
-    by_src = [[] for _ in range(n)]
-    for ci, v in enumerate(con_v):
-        by_src[v].append(ci)
-    adj_start = [0] * (n + 1)
-    adj_cons = []
-    for v in range(n):
-        adj_cons.extend(by_src[v])
-        adj_start[v + 1] = len(adj_cons)
-    return adj_start, adj_cons
-
-
 @given(constraint_systems())
 @settings(max_examples=200, deadline=None)
 def test_replay_matches_reference_feasible_and_infeasible(system):
@@ -85,26 +71,17 @@ def test_replay_matches_reference_feasible_and_infeasible(system):
 @given(constraint_systems())
 @settings(max_examples=200, deadline=None)
 def test_feasibility_kernels_match_reference_fixed_point(system):
-    """SPFA (and Jacobi, when numpy exists) land on the unique fixed
-    point whenever they claim feasibility, and never claim it on an
-    infeasible system."""
+    """The Jacobi sweeps land on the unique fixed point whenever they
+    claim feasibility, and never claim it on an infeasible system."""
     n, cons = system
     ref_dist, _ = _reference(n, cons)
     con_u, con_v, cost = _interned(cons)
-    adj_start, adj_cons = _csr(n, con_v)
-    spfa_dist, _relax = _spfa_feasible(n, adj_start, adj_cons, con_u, cost)
+    prep = _jacobi_prep(con_u)
+    jac_dist, _relax = _jacobi_feasible(n, con_v, cost, prep, n + 1)
     if ref_dist is None:
-        assert spfa_dist is None
+        assert jac_dist is None
     else:
-        expected = [ref_dist[f"n{i}"] for i in range(n)]
-        assert spfa_dist == expected
-    if _np is not None:
-        prep = _jacobi_prep(con_u)
-        jac_dist, _relax = _jacobi_feasible(n, con_v, cost, prep, n + 1)
-        if ref_dist is None:
-            assert jac_dist is None
-        else:
-            assert jac_dist == expected
+        assert jac_dist == [ref_dist[f"n{i}"] for i in range(n)]
 
 
 @st.composite
